@@ -2,8 +2,13 @@ package sys_test
 
 import (
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 
+	"affinityalloc/internal/faults"
+	"affinityalloc/internal/harness"
+	"affinityalloc/internal/realloc"
 	"affinityalloc/internal/sys"
 	"affinityalloc/internal/workloads"
 )
@@ -15,22 +20,47 @@ import (
 // deferred path only reorders commutative adds and drains them before any
 // read, so a divergence here means a retirement event was lost, double
 // applied, or mis-packed.
+//
+// The cases cover all ten Table-3 workloads at tiny scale under all three
+// modes, a skew cell whose reconciler migrates granules across a mid-run
+// bank kill, and a faulted cell (dead banks, dead and lossy links, slow
+// DRAM).
 func TestDeferredAccountingMatchesInline(t *testing.T) {
-	// One affine workload (NoC link flits + bank/DRAM completions) and one
-	// pointer workload (SE remote ops + migrations) cover every converted
-	// accounting site.
-	cases := []struct {
+	type tcase struct {
 		name string
 		w    workloads.Workload
 		mode sys.Mode
-	}{
-		{"vecadd-affalloc", workloads.VecAdd{N: 1 << 14, ForceDelta: -1}, sys.AffAlloc},
-		{"linklist-nearl3", workloads.LinkList{Lists: 16, Nodes: 64, Queries: 1}, sys.NearL3},
+		cfg  func(*sys.Config)
+		// want is a metrics key the run must publish, proving the case
+		// exercised what it names.
+		want string
 	}
+	var cases []tcase
+	for _, w := range harness.AllWorkloads(harness.Options{Scale: harness.Tiny, Seed: 1}) {
+		for _, mode := range sys.Modes {
+			cases = append(cases, tcase{name: fmt.Sprintf("%s/%s", w.Name(), mode), w: w, mode: mode})
+		}
+	}
+	cases = append(cases,
+		tcase{"skew/realloc/kill-bank", workloads.DefaultSkew(), sys.AffAlloc, func(c *sys.Config) {
+			c.Realloc = realloc.Config{Epoch: 2000}.WithDefaults()
+			c.Faults = faults.Spec{Kills: []faults.BankKill{{Bank: 27, At: 3000}}}
+		}, "realloc_kill_rehomes"},
+		tcase{"vecadd/faulted", workloads.VecAdd{N: 1 << 14, ForceDelta: -1}, sys.AffAlloc, func(c *sys.Config) {
+			spec, err := faults.Parse("dead-banks=2,dead-links=2,drop-link=0>1:0.05,dram-slow=0:2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Faults = spec
+		}, "fault_detour_messages"},
+	)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(inline bool) []byte {
 				cfg := sys.DefaultConfig()
+				if tc.cfg != nil {
+					tc.cfg(&cfg)
+				}
 				cfg.InlineAccounting = inline
 				res, err := workloads.Run(cfg, tc.w, tc.mode)
 				if err != nil {
@@ -43,6 +73,9 @@ func TestDeferredAccountingMatchesInline(t *testing.T) {
 				return doc
 			}
 			deferred, inline := run(false), run(true)
+			if tc.want != "" && !strings.Contains(string(deferred), `"`+tc.want+`"`) {
+				t.Errorf("run publishes no %s", tc.want)
+			}
 			if string(deferred) != string(inline) {
 				t.Errorf("deferred and inline accounting diverge:\ndeferred: %.400s\ninline:   %.400s", deferred, inline)
 			}
