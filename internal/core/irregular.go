@@ -168,16 +168,17 @@ func (r *Runtime) chunkLists(chunk int) [][]memsim.Addr {
 }
 
 // takeChunk pops a free chunk of the given interleaving homed at bank,
-// refilling from the OS when empty.
+// refilling from the OS when empty. A refill that reclaims freed extents
+// may make chunks for other banks only; the second refill then expands
+// the pool, whose slab covers every bank.
 func (r *Runtime) takeChunk(chunk, bank int) (memsim.Addr, error) {
 	lists := r.chunkLists(chunk)
-	if len(lists[bank]) == 0 {
+	for refills := 0; len(lists[bank]) == 0; refills++ {
+		if refills == 2 {
+			return 0, fmt.Errorf("core: refill produced no chunks for bank %d", bank)
+		}
 		if err := r.refillChunks(chunk); err != nil {
 			return 0, err
-		}
-		lists = r.chunkLists(chunk)
-		if len(lists[bank]) == 0 {
-			return 0, fmt.Errorf("core: refill produced no chunks for bank %d", bank)
 		}
 	}
 	lst := lists[bank]

@@ -450,3 +450,29 @@ func TestIrregularChunkPhaseProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNearRefillFillsTheWantedBank is the regression for a near-allocation
+// refill that reclaimed a freed extent: the reclaimed space made chunks
+// for some other bank only, the refill still reported success, and
+// takeChunk failed with "refill produced no chunks" on a clean machine.
+// A 1024-element root fills the first 64 lines of the line-interleaved
+// pool, a 1008-element root takes all but the last line of the 64-line
+// tail behind it, and a 64 B near request with affinity to bank 0 must
+// then be served on bank 0.
+func TestNearRefillFillsTheWantedBank(t *testing.T) {
+	r := newRuntime(t, DefaultPolicy())
+	root, err := r.AllocAffine(AffineSpec{ElemSize: 4, NumElem: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.AllocAffine(AffineSpec{ElemSize: 4, NumElem: 1008}); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := r.AllocNear(64, []memsim.Addr{root.ElemAddr(0)})
+	if err != nil {
+		t.Fatalf("near allocation with affinity to bank 0: %v", err)
+	}
+	if b := r.BankOf(addr); b != 0 {
+		t.Errorf("near chunk on bank %d, want 0 (its affinity bank)", b)
+	}
+}
