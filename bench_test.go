@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"testing"
 
-	"affinityalloc/internal/bench"
 	"affinityalloc/internal/core"
 	"affinityalloc/internal/graph"
 	"affinityalloc/internal/harness"
@@ -53,24 +52,6 @@ func BenchmarkFig18BFSTimeline(b *testing.B)          { benchExperiment(b, "fig1
 func BenchmarkFig19DegreeSweep(b *testing.B)          { benchExperiment(b, "fig19") }
 func BenchmarkTable4RealGraphStandins(b *testing.B)   { benchExperiment(b, "t4") }
 func BenchmarkFig20RealGraphs(b *testing.B)           { benchExperiment(b, "fig20") }
-
-// Event-kernel microbenchmarks (internal/bench/kernel.go): the ladder
-// queue against the retained container/heap reference, near-window and
-// spill-path churn. `go test -bench Kernel` is the quick local check;
-// cmd/affbench runs the same entries when refreshing BENCH_*.json.
-
-func BenchmarkKernelChurnLadder(b *testing.B)       { bench.ChurnLadder(b) }
-func BenchmarkKernelChurnHeap(b *testing.B)         { bench.ChurnHeap(b) }
-func BenchmarkKernelChurnSpillLadder(b *testing.B)  { bench.ChurnSpillLadder(b) }
-func BenchmarkKernelChurnSpillHeap(b *testing.B)    { bench.ChurnSpillHeap(b) }
-func BenchmarkKernelScheduleArgLadder(b *testing.B) { bench.ScheduleArgLadder(b) }
-func BenchmarkKernelScheduleArgHeap(b *testing.B)   { bench.ScheduleArgHeap(b) }
-func BenchmarkKernelSameCycleLadder(b *testing.B)   { bench.SameCycleLadder(b) }
-func BenchmarkKernelChurnSparseLadder(b *testing.B) { bench.ChurnSparseLadder(b) }
-func BenchmarkKernelChurnSparseHeap(b *testing.B)   { bench.ChurnSparseHeap(b) }
-func BenchmarkKernelShardPDES1(b *testing.B)        { bench.ShardPDES1(b) }
-func BenchmarkKernelShardPDES2(b *testing.B)        { bench.ShardPDES2(b) }
-func BenchmarkKernelShardPDES4(b *testing.B)        { bench.ShardPDES4(b) }
 
 // Per-workload benchmarks: one simulated run per iteration under each
 // configuration, reporting simulated cycles as a custom metric.

@@ -1,13 +1,12 @@
-// Command affbench runs the repository's benchmark suite — the
-// event-kernel microbenchmarks plus every paper experiment — and
-// maintains the committed BENCH_*.json baselines: it emits a
-// schema-validated result document, validates existing ones, and diffs
-// two baselines to flag regressions.
+// Command affbench runs the repository's benchmark suite — every paper
+// experiment, end to end — and maintains the committed BENCH_*.json
+// baselines: it emits a schema-validated result document, validates
+// existing ones, and diffs two baselines to flag regressions.
 //
 // Usage:
 //
 //	affbench [-scale tiny|default|paper] [-seed N] [-benchtime 1x|100ms]
-//	         [-kernel-only] [-filter regexp] [-o BENCH_5.json] [-q]
+//	         [-filter regexp] [-o bench.json] [-q]
 //	affbench -validate BENCH_5.json
 //	affbench -compare old.json new.json [-threshold 0.25] [-strict]
 //
@@ -31,28 +30,27 @@ import (
 func main() {
 	testing.Init() // registers -test.* flags so -benchtime can be wired through
 	var (
-		scaleStr   = flag.String("scale", "tiny", "experiment benchmark scale: tiny|default|paper")
-		seed       = flag.Int64("seed", 1, "simulation seed for experiment benchmarks")
-		benchtime  = flag.String("benchtime", "1x", "per-benchmark time or iteration budget (testing -benchtime syntax)")
-		kernelOnly = flag.Bool("kernel-only", false, "run only the event-kernel microbenchmarks")
-		filter     = flag.String("filter", "", "run only benchmarks whose name matches this regexp")
-		outPath    = flag.String("o", "", "write the result document to this file (default stdout)")
-		quiet      = flag.Bool("q", false, "suppress per-benchmark progress on stderr")
-		validate   = flag.String("validate", "", "parse and schema-check a baseline document, then exit")
-		compare    = flag.Bool("compare", false, "diff two baseline documents: affbench -compare old.json new.json")
-		threshold  = flag.Float64("threshold", 0.25, "with -compare: flag ns/op growth beyond this fraction")
-		strict     = flag.Bool("strict", false, "with -compare: exit non-zero when regressions are flagged")
+		scaleStr  = flag.String("scale", "tiny", "experiment benchmark scale: tiny|default|paper")
+		seed      = flag.Int64("seed", 1, "simulation seed for experiment benchmarks")
+		benchtime = flag.String("benchtime", "1x", "per-benchmark time or iteration budget (testing -benchtime syntax)")
+		filter    = flag.String("filter", "", "run only benchmarks whose name matches this regexp")
+		outPath   = flag.String("o", "", "write the result document to this file (default stdout)")
+		quiet     = flag.Bool("q", false, "suppress per-benchmark progress on stderr")
+		validate  = flag.String("validate", "", "parse and schema-check a baseline document, then exit")
+		compare   = flag.Bool("compare", false, "diff two baseline documents: affbench -compare old.json new.json")
+		threshold = flag.Float64("threshold", 0.25, "with -compare: flag ns/op growth beyond this fraction")
+		strict    = flag.Bool("strict", false, "with -compare: exit non-zero when regressions are flagged")
 	)
 	flag.Parse()
 
-	if err := run(*scaleStr, *seed, *benchtime, *kernelOnly, *filter, *outPath,
+	if err := run(*scaleStr, *seed, *benchtime, *filter, *outPath,
 		*quiet, *validate, *compare, *threshold, *strict, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "affbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(scaleStr string, seed int64, benchtime string, kernelOnly bool, filter, outPath string,
+func run(scaleStr string, seed int64, benchtime string, filter, outPath string,
 	quiet bool, validatePath string, compare bool, threshold float64, strict bool, args []string) error {
 	switch {
 	case validatePath != "":
@@ -75,7 +73,7 @@ func run(scaleStr string, seed int64, benchtime string, kernelOnly bool, filter,
 		return fmt.Errorf("bad -benchtime: %v", err)
 	}
 
-	entries := bench.Entries(scale, seed, kernelOnly, re)
+	entries := bench.Entries(scale, seed, re)
 	if len(entries) == 0 {
 		return fmt.Errorf("no benchmarks match filter %q", filter)
 	}

@@ -189,7 +189,7 @@ func runExperiment(cc *cliconf.Config, opt harness.Options, exp string) error {
 		n, cellWall, sim := opt.Timing.Summary()
 		fmt.Fprintf(os.Stderr, "%s: %d cells, wall %.2fs (cellsum %.2fs), sim %d cyc, %.1f Mcyc/s\n",
 			e.ID, n, time.Since(start).Seconds(), cellWall.Seconds(), uint64(sim),
-			float64(sim)/time.Since(start).Seconds()/1e6)
+			opt.Timing.SimCyclesPerSec()/1e6)
 	}
 	return nil
 }
@@ -233,7 +233,7 @@ func runReplay(cc *cliconf.Config) error {
 		for t := 0; t < sc.NumTenants(); t++ {
 			allocs += sc.AllocCount(t)
 		}
-		res, err := trace.Replay(sc, trace.Options{Shards: cc.Shards})
+		res, err := trace.Replay(sc, trace.Options{})
 		if err != nil {
 			diverged++
 			tbl.AddRow(sc.Label, sc.Mode, sc.NumTenants(), allocs, sc.Cycles, "FAILED", "-", err.Error())
@@ -291,7 +291,6 @@ func runWorkload(cc *cliconf.Config, opt harness.Options, name, modeStr string, 
 	cfg.Seed = opt.Seed
 	cfg.Policy = pcfg
 	cfg.Faults = opt.Faults
-	cfg.Shards = opt.Shards
 	cfg.Realloc = opt.Realloc
 	var base workloads.Result
 	var cells []harness.CollectedCell

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	afftables [-scale tiny|default|paper] [-seed N] [-j N] [-shards K] [-timing]
+//	afftables [-scale tiny|default|paper] [-seed N] [-j N] [-timing]
 //	          [-o report.txt] [-only fig12,fig13]
 //	          [-faults dead-banks=2] [-faults-sweep] [-colocation]
 //	          [-realloc epoch=2000,...] [-realloc-sweep]

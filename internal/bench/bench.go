@@ -29,8 +29,9 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	// SimCyclesPerSec is simulated cycles retired per wall second —
-	// populated for experiment benchmarks, zero for kernel ones.
+	// SimCyclesPerSec is summed cell sim-cycles over summed cell wall
+	// time (harness.Timing.SimCyclesPerSec); zero for the kernel/*
+	// entries of older baselines.
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec,omitempty"`
 }
 

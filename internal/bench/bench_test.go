@@ -42,7 +42,7 @@ func TestValidateRejectsBadDocuments(t *testing.T) {
 }
 
 func TestEncodeParseRoundTrip(t *testing.T) {
-	d := doc("kernel/churn/ladder", "experiment/fig4")
+	d := doc("experiment/fig12", "experiment/fig4")
 	d.Benchmarks[1].SimCyclesPerSec = 1e6
 	data, err := d.Encode()
 	if err != nil {
@@ -108,23 +108,5 @@ func TestCompareRejectsMismatchedSizing(t *testing.T) {
 	cur.Scale = "default"
 	if _, err := Compare(old, cur, 0.25); err == nil {
 		t.Error("scale mismatch not rejected")
-	}
-}
-
-// TestKernelEntriesRunnable smoke-runs every kernel microbenchmark for
-// one iteration through the same path cmd/affbench uses.
-func TestKernelEntriesRunnable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs each kernel benchmark at full benchtime")
-	}
-	entries := KernelEntries()
-	if len(entries) != 12 {
-		t.Fatalf("KernelEntries() = %d entries, want 12", len(entries))
-	}
-	results := Run(entries, nil)
-	for _, r := range results {
-		if r.Iterations <= 0 || r.NsPerOp <= 0 {
-			t.Errorf("%s: empty result %+v", r.Name, r)
-		}
 	}
 }

@@ -3,16 +3,15 @@ package bench
 import (
 	"regexp"
 	"testing"
-	"time"
 
-	"affinityalloc/internal/engine"
 	"affinityalloc/internal/harness"
 )
 
 // ExperimentEntries wraps every paper experiment as a benchmark entry.
 // Each iteration regenerates the experiment end to end at the given
 // sizing on one worker (Jobs=1, so ns/op is not scheduler noise), and the
-// per-cell timing accounting is folded into a sim-cycles/sec metric.
+// per-cell timing accounting is folded into a sim-cycles/sec metric
+// (harness.Timing.SimCyclesPerSec, the number affsim -timing prints).
 func ExperimentEntries(scale harness.Scale, seed int64) []Entry {
 	exps := harness.Experiments()
 	out := make([]Entry, 0, len(exps))
@@ -21,10 +20,8 @@ func ExperimentEntries(scale harness.Scale, seed int64) []Entry {
 		out = append(out, Entry{
 			Name: "experiment/" + e.ID,
 			F: func(b *testing.B) {
-				var totSim engine.Time
-				var totWall time.Duration
+				tm := &harness.Timing{}
 				for i := 0; i < b.N; i++ {
-					tm := &harness.Timing{}
 					fig, err := e.Run(harness.Options{Scale: scale, Seed: seed, Jobs: 1, Timing: tm})
 					if err != nil {
 						b.Fatal(err)
@@ -32,12 +29,9 @@ func ExperimentEntries(scale harness.Scale, seed int64) []Entry {
 					if len(fig.Tables) == 0 {
 						b.Fatal("experiment produced no tables")
 					}
-					_, wall, sim := tm.Summary()
-					totSim += sim
-					totWall += wall
 				}
-				if totWall > 0 {
-					b.ReportMetric(float64(totSim)/totWall.Seconds(), "simcycles/s")
+				if rate := tm.SimCyclesPerSec(); rate > 0 {
+					b.ReportMetric(rate, "simcycles/s")
 				}
 			},
 		})
@@ -45,13 +39,10 @@ func ExperimentEntries(scale harness.Scale, seed int64) []Entry {
 	return out
 }
 
-// Entries assembles the runnable set: kernel microbenchmarks plus (unless
-// kernelOnly) the experiment suite, filtered by the optional name regexp.
-func Entries(scale harness.Scale, seed int64, kernelOnly bool, filter *regexp.Regexp) []Entry {
-	all := KernelEntries()
-	if !kernelOnly {
-		all = append(all, ExperimentEntries(scale, seed)...)
-	}
+// Entries assembles the runnable set — the experiment suite — filtered
+// by the optional name regexp.
+func Entries(scale harness.Scale, seed int64, filter *regexp.Regexp) []Entry {
+	all := ExperimentEntries(scale, seed)
 	if filter == nil {
 		return all
 	}

@@ -1,6 +1,6 @@
 // Package cliconf is the single definition of the flags shared by the
 // repository's binaries (affsim, afftables, affinityd, affload):
-// -scale, -seed, -j, -shards, -policy, -faults, -realloc, -metrics-out,
+// -scale, -seed, -j, -policy, -faults, -realloc, -metrics-out,
 // -trace-out, -pprof, -timing, -record and -replay. Each binary registers the subset it
 // serves, so names, defaults and help text cannot drift between CLIs,
 // and resolves them into validated harness.Options / core.PolicyConfig
@@ -29,8 +29,6 @@ const (
 	FlagSeed
 	// FlagJobs registers -j.
 	FlagJobs
-	// FlagShards registers -shards.
-	FlagShards
 	// FlagPolicy registers -policy.
 	FlagPolicy
 	// FlagFaults registers -faults.
@@ -53,7 +51,7 @@ const (
 	FlagRealloc
 
 	// HarnessFlags is the experiment-harness set.
-	HarnessFlags = FlagScale | FlagSeed | FlagJobs | FlagShards | FlagFaults | FlagTiming
+	HarnessFlags = FlagScale | FlagSeed | FlagJobs | FlagFaults | FlagTiming
 	// ArtifactFlags is the artifact/profiling set.
 	ArtifactFlags = FlagMetricsOut | FlagTraceOut | FlagPprof
 )
@@ -64,7 +62,6 @@ type Config struct {
 	Scale      string
 	Seed       int64
 	Jobs       int
-	Shards     int
 	PolicyStr  string
 	FaultsStr  string
 	MetricsOut string
@@ -79,7 +76,7 @@ type Config struct {
 // Register installs the selected flags on fs (use flag.CommandLine in
 // main) and returns the value holder to read after fs.Parse.
 func Register(fs *flag.FlagSet, which Flags) *Config {
-	c := &Config{Scale: "default", Seed: 1, Shards: 1, PolicyStr: "hybrid5"}
+	c := &Config{Scale: "default", Seed: 1, PolicyStr: "hybrid5"}
 	if which&FlagScale != 0 {
 		fs.StringVar(&c.Scale, "scale", c.Scale, "experiment scale: tiny|default|paper")
 	}
@@ -88,9 +85,6 @@ func Register(fs *flag.FlagSet, which Flags) *Config {
 	}
 	if which&FlagJobs != 0 {
 		fs.IntVar(&c.Jobs, "j", 0, "concurrent simulation cells (default GOMAXPROCS)")
-	}
-	if which&FlagShards != 0 {
-		fs.IntVar(&c.Shards, "shards", 1, "event-kernel shards per cell (mesh rectangles; output is byte-identical for every value)")
 	}
 	if which&FlagPolicy != 0 {
 		fs.StringVar(&c.PolicyStr, "policy", c.PolicyStr, "bank policy: rnd|lnr|minhop|hybrid<H> (e.g. hybrid5)")
@@ -154,7 +148,7 @@ func (c *Config) Options() (harness.Options, error) {
 	if err != nil {
 		return harness.Options{}, err
 	}
-	opt := harness.Options{Scale: scale, Seed: c.Seed, Jobs: c.Jobs, Shards: c.Shards, Faults: spec, Realloc: rcfg}
+	opt := harness.Options{Scale: scale, Seed: c.Seed, Jobs: c.Jobs, Faults: spec, Realloc: rcfg}
 	if err := opt.Validate(); err != nil {
 		return harness.Options{}, err
 	}

@@ -1,412 +1,16 @@
-// Package engine provides the deterministic discrete-event kernel the
-// system simulator runs on: a cycle clock, an ordered event queue, and a
-// seeded random source. Events scheduled for the same cycle fire in
-// scheduling order, making whole-system runs reproducible bit-for-bit for
-// a fixed seed.
-//
-// The queue is a two-level ladder (calendar) queue engineered for zero
-// steady-state allocations — see DESIGN.md "Event kernel" for the
-// ordering invariants:
-//
-//   - Near-future events (within ringWindow cycles of the ring base) land
-//     in per-cycle ring buckets. Buckets are FIFO, so the (at, seq) total
-//     order falls out of append order for free.
-//   - Far-future events overflow into an unboxed binary min-heap ordered
-//     by (at, seq) (the "spill"). When the ring base advances into spill
-//     territory, due events migrate into their ring buckets in heap order,
-//     which preserves same-cycle FIFO against later direct appends.
-//
-// Events are stored unboxed ([]event slices reused as a freelist; the old
-// container/heap kernel boxed every push through interface{}), so
-// At/After/ScheduleArg/Run/RunUntil/RunGuarded allocate nothing once the
-// bucket and spill storage has warmed up.
+// Package engine provides the simulator's time base: a cycle type and
+// Server, the capacity calendar every shared resource (L3 bank port, NoC
+// link, DRAM channel, stream-engine thread pool) reserves its timing
+// from. There is no event queue: a workload goroutine computes each
+// request's timing synchronously from the calendars it crosses, and
+// components update their counters inline as they go.
 package engine
-
-import (
-	"math/bits"
-	"math/rand"
-)
 
 // Time is a simulated cycle count.
 type Time uint64
 
 // Forever is a sentinel time later than any reachable cycle.
 const Forever Time = ^Time(0)
-
-const (
-	// ringWindow is the span of cycles covered by the near-future ring
-	// buckets. Power of two so slot mapping is a mask.
-	ringWindow = 256
-	ringMask   = ringWindow - 1
-)
-
-// DrainPending is the queue depth at which callers that use the kernel
-// purely for deferred retirement (counter updates scheduled at completion
-// cycles) should drain it with Run. Retirement events are commutative
-// adds, so draining early never changes final counter values; the bound
-// keeps the queue's memory footprint flat over arbitrarily long runs.
-const DrainPending = 1 << 15
-
-// event is one queued callback, stored unboxed in a bucket or the spill
-// heap. Exactly one of fn/afn is set: fn is the closure form (At/After),
-// afn+arg the allocation-free argument form (ScheduleArg).
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
-	afn func(uint64)
-	arg uint64
-}
-
-func (e *event) run() {
-	if e.afn != nil {
-		e.afn(e.arg)
-		return
-	}
-	e.fn()
-}
-
-// bucket is one ring slot: a FIFO of events for a single cycle. rd is the
-// read cursor; the backing array is reused across cycles (the freelist).
-type bucket struct {
-	ev []event
-	rd int
-}
-
-// Sim is the event kernel. The zero value is not usable; call New.
-type Sim struct {
-	now Time
-	seq uint64
-	rng *rand.Rand
-
-	// ring holds near-future events: ring[(at-base+head)&ringMask] is the
-	// bucket for cycle at, valid for at in [base, base+ringWindow).
-	ring  [ringWindow]bucket
-	base  Time // cycle covered by ring[head]
-	head  int
-	nring int // events currently bucketed
-
-	// occ is the ring occupancy bitmap: bit j is set iff ring[j] holds
-	// unread events. peekAt and pop's window advance consult it instead of
-	// probing slots one by one, so a sparse ring costs O(words) instead of
-	// O(ringWindow) per peek.
-	occ [ringWindow / 64]uint64
-
-	// spill holds events at or beyond base+ringWindow, as an unboxed
-	// binary min-heap ordered by (at, seq).
-	spill []event
-
-	// diags are the registered watchdog diagnostics (see AddDiagnostic);
-	// they run only when RunGuarded trips.
-	diags []diagnostic
-}
-
-// New builds a kernel whose random source is seeded deterministically.
-func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Now returns the current simulated cycle.
-func (s *Sim) Now() Time { return s.now }
-
-// Rand returns the kernel's deterministic random source.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
-
-// Pending reports the number of queued events.
-func (s *Sim) Pending() int { return s.nring + len(s.spill) }
-
-// schedule enqueues e at cycle at (already clamped to >= now).
-//
-// Invariant: base <= now at every schedule point (pop advances base only
-// to the cycle of the event it extracts, which immediately becomes now),
-// so at-base never underflows and the ring slot mapping is exact.
-func (s *Sim) schedule(at Time, e event) {
-	if at-s.base < ringWindow {
-		j := (int(at-s.base) + s.head) & ringMask
-		b := &s.ring[j]
-		b.ev = append(b.ev, e)
-		s.occ[j>>6] |= 1 << uint(j&63)
-		s.nring++
-		return
-	}
-	s.spillPush(e)
-}
-
-// At schedules fn to run at the given absolute cycle. Scheduling in the
-// past runs the event at the current cycle instead (events cannot rewind
-// the clock).
-func (s *Sim) At(at Time, fn func()) {
-	if at < s.now {
-		at = s.now
-	}
-	s.seq++
-	s.schedule(at, event{at: at, seq: s.seq, fn: fn})
-}
-
-// After schedules fn delay cycles from now.
-func (s *Sim) After(delay Time, fn func()) {
-	s.At(s.now+delay, fn)
-}
-
-// ScheduleArg schedules fn(arg) at the given absolute cycle, clamping
-// past times like At. It is the allocation-free fast path for
-// high-frequency completion events: the callback takes its state as a
-// packed uint64 argument instead of capturing it, so call sites that keep
-// fn in a field (one bound-method value built at construction) schedule
-// with zero allocations per event.
-func (s *Sim) ScheduleArg(at Time, fn func(uint64), arg uint64) {
-	if at < s.now {
-		at = s.now
-	}
-	s.seq++
-	s.schedule(at, event{at: at, seq: s.seq, afn: fn, arg: arg})
-}
-
-// peekAt returns the cycle of the next event without disturbing the
-// queue. ok is false when the queue is empty.
-//
-// Ring events always precede spill events (everything in the spill is at
-// or beyond base+ringWindow by construction), so the scan only falls
-// through to the spill when the ring is empty.
-func (s *Sim) peekAt() (at Time, ok bool) {
-	if s.nring > 0 {
-		return s.base + Time(s.nextOccupied()), true
-	}
-	if len(s.spill) > 0 {
-		return s.spill[0].at, true
-	}
-	return 0, false
-}
-
-// nextOccupied returns the offset from head (in cycles) of the first
-// occupied ring slot. The caller must hold nring > 0, which guarantees a
-// set bit exists. The scan reads at most occWords+1 bitmap words: the
-// head word masked from the head bit, the following words, and the head
-// word again masked below the head bit for the wrap-around tail.
-func (s *Sim) nextOccupied() int {
-	const occWords = ringWindow / 64
-	h := s.head
-	w, bit := h>>6, uint(h&63)
-	if m := s.occ[w] >> bit; m != 0 {
-		return bits.TrailingZeros64(m)
-	}
-	off := 64 - int(bit)
-	for k := 1; k < occWords; k++ {
-		if m := s.occ[(w+k)&(occWords-1)]; m != 0 {
-			return off + (k-1)*64 + bits.TrailingZeros64(m)
-		}
-	}
-	m := s.occ[w] & (1<<bit - 1)
-	return off + (occWords-1)*64 + bits.TrailingZeros64(m)
-}
-
-// pop extracts the next event in (at, seq) order. The queue must be
-// non-empty. It advances base (and migrates newly due spill events into
-// the ring) as a side effect; base only ever advances to the cycle of the
-// event returned, which the caller makes the new now — preserving the
-// schedule invariant base <= now.
-func (s *Sim) pop() event {
-	if s.nring == 0 {
-		// Ring empty: jump the window straight to the earliest spill
-		// cycle instead of stepping through the gap.
-		s.base = s.spill[0].at
-		s.head = 0
-		s.migrate()
-	}
-	for {
-		b := &s.ring[s.head]
-		if b.rd < len(b.ev) {
-			e := b.ev[b.rd]
-			b.ev[b.rd] = event{} // drop closure refs promptly
-			b.rd++
-			s.nring--
-			if b.rd == len(b.ev) {
-				// Cycle may still be live (callbacks appending same-cycle
-				// events); reset lazily only when truly drained.
-				b.ev = b.ev[:0]
-				b.rd = 0
-				s.occ[s.head>>6] &^= 1 << uint(s.head&63)
-			}
-			return e
-		}
-		// Bucket drained: jump the window straight to the next occupied
-		// cycle (via the occupancy bitmap — a sparse ring would otherwise
-		// cost up to ringWindow slot probes), then pull in any spill
-		// events that just became near-future. Skipping in one step is
-		// safe: every spill event is at or beyond base+ringWindow, so none
-		// can precede the next occupied ring slot, and migrated events
-		// land at offsets >= ringWindow-step > 0 — never ahead of it.
-		b.ev = b.ev[:0]
-		b.rd = 0
-		step := s.nextOccupied() // nring > 0 here, so a slot is occupied
-		s.head = (s.head + step) & ringMask
-		s.base += Time(step)
-		s.migrate()
-	}
-}
-
-// migrate moves spill events that now fall inside the ring window into
-// their buckets. Heap order is (at, seq), so same-cycle events arrive in
-// seq order, ahead of any later direct append (whose seq is necessarily
-// larger: once a cycle enters the window it never leaves until executed).
-func (s *Sim) migrate() {
-	limit := s.base + ringWindow
-	for len(s.spill) > 0 && s.spill[0].at < limit {
-		e := s.spillPop()
-		j := (int(e.at-s.base) + s.head) & ringMask
-		b := &s.ring[j]
-		b.ev = append(b.ev, e)
-		s.occ[j>>6] |= 1 << uint(j&63)
-		s.nring++
-	}
-}
-
-// spillPush / spillPop implement an unboxed binary min-heap on (at, seq).
-// Hand-rolled instead of container/heap to avoid the interface{} boxing
-// allocation on every push.
-
-func (s *Sim) spillPush(e event) {
-	s.spill = append(s.spill, e)
-	i := len(s.spill) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !eventLess(&s.spill[i], &s.spill[p]) {
-			break
-		}
-		s.spill[i], s.spill[p] = s.spill[p], s.spill[i]
-		i = p
-	}
-}
-
-func (s *Sim) spillPop() event {
-	h := s.spill
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h[n] = event{} // drop closure refs promptly
-	s.spill = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		least := l
-		if r := l + 1; r < n && eventLess(&h[r], &h[l]) {
-			least = r
-		}
-		if !eventLess(&h[least], &h[i]) {
-			break
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-	return top
-}
-
-func eventLess(a, b *event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// Run executes events until the queue drains and returns the final cycle.
-// The clock never rewinds: events due before now (reachable only after
-// Advance) execute at the current cycle.
-func (s *Sim) Run() Time {
-	for s.Pending() > 0 {
-		e := s.pop()
-		if e.at > s.now {
-			s.now = e.at
-		}
-		e.run()
-	}
-	return s.now
-}
-
-// RunUntil executes events with timestamps <= deadline and leaves the
-// rest queued. It returns — and parks the clock at — the deadline when
-// the queue drained earlier (or the next event lies beyond it); if the
-// clock was already past the deadline it returns the current cycle
-// unchanged (the clock never rewinds), after executing any events that
-// were due.
-func (s *Sim) RunUntil(deadline Time) Time {
-	for {
-		at, ok := s.peekAt()
-		if !ok || at > deadline {
-			break
-		}
-		e := s.pop()
-		if e.at > s.now {
-			s.now = e.at
-		}
-		e.run()
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-	return s.now
-}
-
-// DrainAccounting executes every pending event and then restores the
-// clock, so Now() is unchanged across the call. It exists for the
-// deferred-retirement accounting pattern: counter updates scheduled at
-// completion cycles are commutative, time-independent adds, so flushing
-// them early must not fast-forward the clock the way Run would — with
-// per-shard kernels a drained shard would otherwise leap ahead of its
-// neighbors' horizons, and any mid-run Now() reader would observe the
-// furthest retirement timestamp instead of simulated time.
-//
-// The contract is exactly that: pending events must not observe the
-// clock (retirement adds do not — they are pure counter updates).
-// Events DO execute with the clock advancing internally — same order,
-// same callbacks as Run — and once the queue is empty the clock and
-// ring window are rebased to the saved cycle, which is safe precisely
-// because the queue is empty.
-func (s *Sim) DrainAccounting() {
-	if s.Pending() == 0 {
-		return
-	}
-	saved := s.now
-	s.Run()
-	// Queue drained: rewind the clock and rebase the (empty) ring so the
-	// schedule invariant base <= now still holds for the restored cycle.
-	s.now = saved
-	s.base = saved
-	s.head = 0
-}
-
-// Advance moves the clock forward without running events; used by
-// components that compute latencies analytically between event firings.
-// It never rewinds. When the queue is empty it also re-anchors the ring
-// window at the new cycle — there are no queued events an anchor move
-// could reorder — so near-future schedules that follow stay on the ring
-// path instead of spilling.
-func (s *Sim) Advance(to Time) {
-	if to > s.now {
-		s.now = to
-		if s.nring == 0 && len(s.spill) == 0 {
-			s.base = to
-			s.head = 0
-		}
-	}
-}
-
-// InRing reports whether an event scheduled at cycle at would land in
-// the near-future ring rather than the spill heap, applying the same
-// past-time clamp as At/ScheduleArg. Deferred-accounting callers check
-// it to drain-and-re-anchor before a schedule that would otherwise
-// start piling retirements into the heap: their events are commutative
-// counter adds, so an early drain never changes totals, and keeping the
-// window tracking the retirement stream keeps every insert on the O(1)
-// ring path.
-func (s *Sim) InRing(at Time) bool {
-	if at < s.now {
-		at = s.now
-	}
-	return at-s.base < ringWindow
-}
 
 // MaxTime returns the later of two times.
 func MaxTime(a, b Time) Time {

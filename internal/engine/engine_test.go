@@ -5,67 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestEventOrdering(t *testing.T) {
-	s := New(1)
-	var order []int
-	s.At(30, func() { order = append(order, 3) })
-	s.At(10, func() { order = append(order, 1) })
-	s.At(20, func() { order = append(order, 2) })
-	s.At(10, func() { order = append(order, 11) }) // same time: schedule order
-	end := s.Run()
-	if end != 30 {
-		t.Errorf("final time %d, want 30", end)
-	}
-	want := []int{1, 11, 2, 3}
-	if len(order) != len(want) {
-		t.Fatalf("order %v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
-}
-
-func TestSchedulingInPastClamps(t *testing.T) {
-	s := New(1)
-	s.At(100, func() {
-		s.At(50, func() {
-			if s.Now() != 100 {
-				t.Errorf("past event ran at %d, want clamped to 100", s.Now())
-			}
-		})
-	})
-	s.Run()
-}
-
-func TestAfterAndRunUntil(t *testing.T) {
-	s := New(1)
-	fired := 0
-	s.After(10, func() { fired++ })
-	s.After(20, func() { fired++ })
-	s.RunUntil(15)
-	if fired != 1 {
-		t.Errorf("fired %d events by t=15, want 1", fired)
-	}
-	if s.Pending() != 1 {
-		t.Errorf("pending %d, want 1", s.Pending())
-	}
-	s.Run()
-	if fired != 2 {
-		t.Errorf("fired %d total, want 2", fired)
-	}
-}
-
-func TestAdvanceNeverRewinds(t *testing.T) {
-	s := New(1)
-	s.Advance(100)
-	s.Advance(50)
-	if s.Now() != 100 {
-		t.Errorf("Now = %d, want 100", s.Now())
-	}
-}
-
 func TestServerBackfillsIdleCapacity(t *testing.T) {
 	srv := NewServer(1, 1, 64)
 	// Reserve far in the future first.

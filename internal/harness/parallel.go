@@ -203,6 +203,18 @@ func (t *Timing) Summary() (cells int, wall time.Duration, sim engine.Time) {
 	return len(t.cells), wall, sim
 }
 
+// SimCyclesPerSec is the harness's one throughput definition: summed
+// cell sim-cycles over summed cell wall time, which leaves out time spent
+// waiting for a worker and rendering. affsim -timing, RunAll's
+// per-experiment lines and affbench all report it.
+func (t *Timing) SimCyclesPerSec() float64 {
+	_, wall, sim := t.Summary()
+	if wall <= 0 {
+		return 0
+	}
+	return float64(sim) / wall.Seconds()
+}
+
 // Report writes one accounting line per cell.
 func (t *Timing) Report(w io.Writer) {
 	for _, c := range t.Cells() {
@@ -305,12 +317,8 @@ func RunAll(opt Options, out io.Writer, only map[string]bool, timingOut io.Write
 		var totSim engine.Time
 		for i := range sel {
 			n, cellWall, sim := runs[i].timing.Summary()
-			rate := 0.0
-			if runs[i].wall > 0 {
-				rate = float64(sim) / runs[i].wall.Seconds() / 1e6
-			}
 			fmt.Fprintf(timingOut, "%-7s %3d cells  wall %7.2fs  cellsum %7.2fs  sim %12d cyc  %8.1f Mcyc/s\n",
-				sel[i].ID, n, runs[i].wall.Seconds(), cellWall.Seconds(), uint64(sim), rate)
+				sel[i].ID, n, runs[i].wall.Seconds(), cellWall.Seconds(), uint64(sim), runs[i].timing.SimCyclesPerSec()/1e6)
 			if perCell {
 				runs[i].timing.Report(timingOut)
 			}

@@ -9,8 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"affinityalloc/internal/backoff"
 	"affinityalloc/internal/core"
 	"affinityalloc/internal/sys"
+	"affinityalloc/internal/telemetry"
 	"affinityalloc/internal/trace"
 	"affinityalloc/internal/workloads"
 )
@@ -199,5 +201,102 @@ func TestRunAllSubsetMatchesSerial(t *testing.T) {
 	t2 := strings.Index(serial, "### t2")
 	if fig4 < 0 || t2 < 0 || fig4 > t2 {
 		t.Errorf("experiments out of registry order: fig4 at %d, t2 at %d", fig4, t2)
+	}
+}
+
+// TestRetryBackoffClamped pins the overflow fix in the retry path:
+// RetryBackoff << attempt used to overflow time.Duration at large
+// CellRetries (1s of base backoff goes negative at attempt 34); the
+// delay must instead saturate at maxRetryBackoff for every attempt.
+// The schedule itself lives in internal/backoff (shared with the
+// affinityd client); this pins the harness's use of it — same cap, same
+// doubling — so the retry loop's contract cannot drift silently.
+func TestRetryBackoffClamped(t *testing.T) {
+	cases := []struct {
+		base    time.Duration
+		attempt int
+		want    time.Duration
+	}{
+		{0, 5, 0}, // no backoff configured
+		{time.Millisecond, 0, time.Millisecond},
+		{time.Millisecond, 3, 8 * time.Millisecond}, // doubling intact below the cap
+		{time.Second, 4, 16 * time.Second},
+		{time.Second, 5, maxRetryBackoff},   // first clamped step (32s > 30s)
+		{time.Second, 34, maxRetryBackoff},  // would be negative unclamped
+		{time.Second, 200, maxRetryBackoff}, // shift count past the word width
+		{time.Minute, 0, maxRetryBackoff},   // base already above the cap
+	}
+	for _, tc := range cases {
+		if got := backoff.Delay(tc.base, maxRetryBackoff, tc.attempt); got != tc.want {
+			t.Errorf("backoff.Delay(%v, %v, %d) = %v, want %v", tc.base, maxRetryBackoff, tc.attempt, got, tc.want)
+		}
+		if got := backoff.Delay(tc.base, maxRetryBackoff, tc.attempt); got < 0 || got > maxRetryBackoff {
+			t.Errorf("backoff.Delay(%v, %v, %d) = %v out of [0, %v]", tc.base, maxRetryBackoff, tc.attempt, got, maxRetryBackoff)
+		}
+	}
+}
+
+// TestAbandonedTimedOutCellCannotMutateSharedState pins the containment
+// contract for timed-out cells: runCellOnce abandons the goroutine of a
+// cell that exceeds CellTimeout, and when that goroutine eventually
+// completes it must not be able to publish its result anywhere — not
+// the result slice, not Timing, not the Collector — nor wedge or panic
+// on its result send. The test wedges a cell past its timeout, lets the
+// batch finish, then releases the zombie and checks every shared
+// surface still shows only the timeout outcome. Run under -race this
+// also proves the late completion doesn't race the harness teardown.
+func TestAbandonedTimedOutCellCannotMutateSharedState(t *testing.T) {
+	release := make(chan struct{})
+	zombieDone := make(chan struct{})
+	var timing Timing
+	var collect Collector
+	opt := Options{Jobs: 2, CellTimeout: 30 * time.Millisecond,
+		Timing: &timing, Collect: &collect}
+	cells := []cell{
+		{label: "fast", run: func(rec *trace.Recorder) (workloads.Result, error) {
+			return workloads.Result{Checksum: 1,
+				Metrics: sys.Metrics{Cycles: 7, Detail: &telemetry.Snapshot{}}}, nil
+		}},
+		{label: "wedged", run: func(rec *trace.Recorder) (workloads.Result, error) {
+			<-release // held past the timeout, completes only when released
+			defer close(zombieDone)
+			return workloads.Result{Checksum: 0xbad,
+				Metrics: sys.Metrics{Cycles: 999, Detail: &telemetry.Snapshot{}}}, nil
+		}},
+	}
+
+	rs, err := runCells(opt, cells)
+	var fails *CellFailures
+	if !errors.As(err, &fails) || len(fails.Cells) != 1 || fails.Cells[0].Label != "wedged" {
+		t.Fatalf("err = %v, want exactly the wedged cell's timeout", err)
+	}
+
+	// The batch is over; now let the abandoned goroutine run to completion
+	// and attempt its (dead-lettered) result send.
+	close(release)
+	<-zombieDone
+	// The zombie's wrapping goroutine still has to deliver its outcome to
+	// the (now dead-lettered, buffered) channel; give it a moment so a
+	// blocking or panicking send would surface here under -race.
+	time.Sleep(20 * time.Millisecond)
+
+	if rs[1] != (workloads.Result{}) {
+		t.Errorf("timed-out slot holds %+v after zombie completion, want the zero value", rs[1])
+	}
+	if rs[0].Checksum != 1 {
+		t.Errorf("sibling result corrupted: %+v", rs[0])
+	}
+	for _, ct := range timing.Cells() {
+		if ct.Label == "wedged" {
+			t.Errorf("zombie published timing %+v after abandonment", ct)
+		}
+	}
+	for _, cc := range collect.Cells() {
+		if cc.Label == "wedged" {
+			t.Errorf("zombie published telemetry %+v after abandonment", cc)
+		}
+	}
+	if got := len(collect.Cells()); got != 1 {
+		t.Errorf("collector holds %d cells, want 1 (the fast sibling)", got)
 	}
 }

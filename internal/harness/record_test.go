@@ -13,9 +13,9 @@ import (
 
 // fig4TraceAndReport runs the Fig-4 experiment with recording on and
 // returns (JSONL trace bytes, rendered figure bytes).
-func fig4TraceAndReport(t *testing.T, jobs, shards int, fspec string) ([]byte, []byte) {
+func fig4TraceAndReport(t *testing.T, jobs int, fspec string) ([]byte, []byte) {
 	t.Helper()
-	opt := Options{Scale: Tiny, Seed: 1, Jobs: jobs, Shards: shards}
+	opt := Options{Scale: Tiny, Seed: 1, Jobs: jobs}
 	if fspec != "" {
 		f, err := faults.Parse(fspec)
 		if err != nil {
@@ -34,49 +34,45 @@ func fig4TraceAndReport(t *testing.T, jobs, shards int, fspec string) ([]byte, [
 	return trace.EncodeJSONL(col.Trace()), buf.Bytes()
 }
 
-// The record→replay differential gate, as a table across the axes the
-// ISSUE pins: worker count (j1/j8), kernel shards (1/4), and machine
-// health (clean/faulted). For every combination the recorded trace and
-// the rendered figure must be byte-identical to the j=1 run (recording
-// is slot-ordered and observation-only), and replaying every recorded
-// scenario with zero options must reproduce the recorded placements
-// byte-for-byte.
+// The record→replay differential gate, as a table across worker count
+// (j1/j8) and machine health (clean/faulted). For every combination the
+// recorded trace and the rendered figure must be byte-identical to the
+// j=1 run (recording is slot-ordered and observation-only), and
+// replaying every recorded scenario with zero options must reproduce
+// the recorded placements byte-for-byte.
 func TestRecordReplayGate(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for _, fspec := range []string{"", "dead-banks=2"} {
-			name := fmt.Sprintf("shards=%d/faults=%s", shards, fspec)
-			t.Run(name, func(t *testing.T) {
-				tr1, rep1 := fig4TraceAndReport(t, 1, shards, fspec)
-				tr8, rep8 := fig4TraceAndReport(t, 8, shards, fspec)
-				if !bytes.Equal(tr1, tr8) {
-					t.Error("recorded trace differs between -j1 and -j8")
-				}
-				if !bytes.Equal(rep1, rep8) {
-					t.Error("figure differs between -j1 and -j8")
-				}
-				if len(tr1) == 0 {
-					t.Fatal("empty recorded trace")
-				}
-				decoded, err := trace.ParseJSONL(tr1)
+	for _, fspec := range []string{"", "dead-banks=2"} {
+		t.Run("faults="+fspec, func(t *testing.T) {
+			tr1, rep1 := fig4TraceAndReport(t, 1, fspec)
+			tr8, rep8 := fig4TraceAndReport(t, 8, fspec)
+			if !bytes.Equal(tr1, tr8) {
+				t.Error("recorded trace differs between -j1 and -j8")
+			}
+			if !bytes.Equal(rep1, rep8) {
+				t.Error("figure differs between -j1 and -j8")
+			}
+			if len(tr1) == 0 {
+				t.Fatal("empty recorded trace")
+			}
+			decoded, err := trace.ParseJSONL(tr1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(decoded.Scenarios) == 0 {
+				t.Fatal("no scenarios recorded")
+			}
+			for _, sc := range decoded.Scenarios {
+				res, err := trace.Replay(sc, trace.Options{})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("replay %s: %v", sc.Label, err)
 				}
-				if len(decoded.Scenarios) == 0 {
-					t.Fatal("no scenarios recorded")
+				got, want := res.PlacementDump(), trace.RecordedDump(sc)
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: replay diverged from recording:\n--- replay\n%s--- recorded\n%s",
+						sc.Label, got, want)
 				}
-				for _, sc := range decoded.Scenarios {
-					res, err := trace.Replay(sc, trace.Options{})
-					if err != nil {
-						t.Fatalf("replay %s: %v", sc.Label, err)
-					}
-					got, want := res.PlacementDump(), trace.RecordedDump(sc)
-					if !bytes.Equal(got, want) {
-						t.Errorf("%s: replay diverged from recording:\n--- replay\n%s--- recorded\n%s",
-							sc.Label, got, want)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -90,7 +86,7 @@ func TestRecordingDoesNotPerturbFigures(t *testing.T) {
 	}
 	var plain bytes.Buffer
 	fig.Render(&plain)
-	_, recorded := fig4TraceAndReport(t, 4, 1, "")
+	_, recorded := fig4TraceAndReport(t, 4, "")
 	if !bytes.Equal(plain.Bytes(), recorded) {
 		t.Error("recording changed the rendered figure")
 	}

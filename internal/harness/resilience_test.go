@@ -167,14 +167,14 @@ func TestFaultedFigureByteIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestFaultedDeferredAccountingByteIdenticalAcrossJobs stresses the
-// deferred-retirement accounting path under a degraded machine: lossy
-// links draw randomized retransmits (extra deferred flit events), a
-// duty-cycled DRAM channel stretches completion cycles far into the
-// kernel's spill window, and redirected SE work moves remote-op
-// retirements across banks. Fig 14's atomic distribution reads the
-// per-bank remote-op series, so any lost or reordered retirement shows up
-// as a j1-vs-j8 byte diff.
+// TestFaultedDeferredAccountingByteIdenticalAcrossJobs stresses counter
+// accounting under a degraded machine (it is named for the deferred
+// accounting path it was first written against): lossy links draw
+// randomized retransmits (extra link flits), a duty-cycled DRAM channel
+// stretches completion cycles, and redirected SE work moves remote ops
+// across banks. Fig 14's atomic distribution reads the per-bank
+// remote-op series, so any lost or misattributed count shows up as a
+// j1-vs-j8 byte diff.
 func TestFaultedDeferredAccountingByteIdenticalAcrossJobs(t *testing.T) {
 	spec := faults.Spec{Seed: 1, NDeadBanks: 2, NDeadLinks: 2,
 		Links: []faults.LinkFault{{From: 0, To: 1, Drop: 0.05}},

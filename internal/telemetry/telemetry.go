@@ -30,8 +30,8 @@ type Span struct {
 	Dur   uint64 `json:"dur"`
 }
 
-// Instant is one point event for the trace exporter — a fault occurrence,
-// a watchdog trip — rendered as a Chrome "i" (instant) event at TS.
+// Instant is one point event for the trace exporter, such as a fault
+// occurrence, rendered as a Chrome "i" (instant) event at TS.
 type Instant struct {
 	Name string `json:"name"`
 	Cat  string `json:"cat"`

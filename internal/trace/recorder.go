@@ -85,7 +85,6 @@ func (r *Recorder) Begin(cfg sys.Config, mode sys.Mode) {
 	if !cfg.Faults.Empty() {
 		r.sc.Faults = cfg.Faults.String()
 	}
-	r.sc.Shards = cfg.Shards
 }
 
 // Attach installs the recorder on the system's three observer hooks:

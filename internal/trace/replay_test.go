@@ -12,11 +12,10 @@ import (
 )
 
 // recordUnder records one workload under a full configuration.
-func recordUnder(t *testing.T, w workloads.Workload, mode sys.Mode, seed int64, faultSpec string, shards int) *trace.Scenario {
+func recordUnder(t *testing.T, w workloads.Workload, mode sys.Mode, seed int64, faultSpec string) *trace.Scenario {
 	t.Helper()
 	cfg := sys.DefaultConfig()
 	cfg.Seed = seed
-	cfg.Shards = shards
 	if faultSpec != "" {
 		f, err := faults.Parse(faultSpec)
 		if err != nil {
@@ -34,26 +33,17 @@ func recordUnder(t *testing.T, w workloads.Workload, mode sys.Mode, seed int64, 
 // Record→replay placement identity: replaying a recorded scenario with
 // zero options must re-drive the allocator through the identical state
 // trajectory, yielding byte-identical placements — across workload
-// shapes (affine, irregular, pointer), fault specs, and shard counts.
+// shapes (affine, irregular, pointer) and fault specs.
 func TestReplayPlacementIdentity(t *testing.T) {
 	workloadSet := []workloads.Workload{
 		tinyVecAdd(),
 		tinyHashJoin(),
 		workloads.LinkList{Lists: 16, Nodes: 32, Queries: 1},
 	}
-	cases := []struct {
-		faults string
-		shards int
-	}{
-		{"", 1},
-		{"", 4},
-		{"dead-banks=2", 1},
-		{"dead-banks=2", 4},
-	}
 	for _, w := range workloadSet {
-		for _, c := range cases {
-			t.Run(fmt.Sprintf("%s/faults=%s/shards=%d", w.Name(), c.faults, c.shards), func(t *testing.T) {
-				sc := recordUnder(t, w, sys.AffAlloc, 1, c.faults, c.shards)
+		for _, spec := range []string{"", "dead-banks=2"} {
+			t.Run(fmt.Sprintf("%s/faults=%s", w.Name(), spec), func(t *testing.T) {
+				sc := recordUnder(t, w, sys.AffAlloc, 1, spec)
 				res, err := trace.Replay(sc, trace.Options{})
 				if err != nil {
 					t.Fatal(err)
@@ -69,7 +59,7 @@ func TestReplayPlacementIdentity(t *testing.T) {
 
 // A round trip through both encodings must not perturb replay.
 func TestReplayAfterEncodeRoundTrip(t *testing.T) {
-	sc := recordUnder(t, tinyHashJoin(), sys.AffAlloc, 1, "", 1)
+	sc := recordUnder(t, tinyHashJoin(), sys.AffAlloc, 1, "")
 	want := trace.RecordedDump(sc)
 	tr := &trace.Trace{Scenarios: []*trace.Scenario{sc}}
 	for _, enc := range []struct {
@@ -93,17 +83,16 @@ func TestReplayAfterEncodeRoundTrip(t *testing.T) {
 	}
 }
 
-// Replay must accept mode/policy/faults/shard overrides and still
+// Replay must accept mode/policy/faults overrides and still
 // produce a deterministic result (same overrides → same placements).
 func TestReplayOverridesAreDeterministic(t *testing.T) {
-	sc := recordUnder(t, tinyHashJoin(), sys.AffAlloc, 1, "", 1)
+	sc := recordUnder(t, tinyHashJoin(), sys.AffAlloc, 1, "")
 	opts := []trace.Options{
 		{Mode: "In-Core"},
 		{Mode: "Near-L3"},
 		{Policy: "minhop"},
 		{Policy: "rnd"},
 		{Faults: "dead-banks=1"},
-		{Shards: 4},
 	}
 	for _, opt := range opts {
 		a, err := trace.Replay(sc, opt)
@@ -119,28 +108,6 @@ func TestReplayOverridesAreDeterministic(t *testing.T) {
 		}
 		if a.Cycles != b.Cycles {
 			t.Errorf("%+v: cycles differ: %d vs %d", opt, a.Cycles, b.Cycles)
-		}
-	}
-}
-
-// Shards must stay a pure throughput knob on the replay path too:
-// placements and cycle counts are byte-identical at every shard count.
-func TestReplayShardInvariance(t *testing.T) {
-	sc := recordUnder(t, tinyVecAdd(), sys.AffAlloc, 1, "", 1)
-	base, err := trace.Replay(sc, trace.Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4} {
-		r, err := trace.Replay(sc, trace.Options{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(r.PlacementDump(), base.PlacementDump()) {
-			t.Errorf("shards=%d: placements diverged from shards=1", shards)
-		}
-		if r.Cycles != base.Cycles {
-			t.Errorf("shards=%d: cycles %d != %d", shards, r.Cycles, base.Cycles)
 		}
 	}
 }
