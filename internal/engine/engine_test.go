@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -89,5 +90,50 @@ func TestMinMaxTime(t *testing.T) {
 	}
 	if MinTime(3, 5) != 3 || MinTime(5, 3) != 3 {
 		t.Error("MinTime wrong")
+	}
+}
+
+// TestSchedulingInPastClamps: once the window has slid, a reservation
+// older than its base is granted at the base (the past is full), and
+// queues behind whatever already holds the base bucket.
+func TestSchedulingInPastClamps(t *testing.T) {
+	srv := NewServer(1, 8, 16)
+	srv.Reserve(10_000, 1) // slide the window far ahead
+	base := srv.base
+	if base == 0 || base > 10_000 {
+		t.Fatalf("window base %d after sliding to 10000", base)
+	}
+	if got := srv.Reserve(0, 1); got != base {
+		t.Errorf("past reservation at %d, want clamped to base %d", got, base)
+	}
+	srv.Reserve(base, 7) // fill the rest of the base bucket
+	if got := srv.Reserve(0, 1); got != base+8 {
+		t.Errorf("past reservation behind a full base bucket at %d, want %d", got, base+8)
+	}
+}
+
+// TestAdvanceNeverRewinds: reservations arriving out of time order may
+// slide the window forward but never back, and no grant starts before
+// its requested time.
+func TestAdvanceNeverRewinds(t *testing.T) {
+	srv := NewServer(2, 4, 32)
+	rng := rand.New(rand.NewSource(1))
+	var at Time
+	horizon := srv.Horizon()
+	for i := 0; i < 5000; i++ {
+		// Mostly forward, with frequent jumps back behind the window.
+		if rng.Intn(4) == 0 {
+			at -= MinTime(at, Time(rng.Intn(400)))
+		} else {
+			at += Time(rng.Intn(60))
+		}
+		if got := srv.Reserve(at, 1+rng.Intn(6)); got < at {
+			t.Fatalf("step %d: reservation at %d granted at %d", i, at, got)
+		}
+		if h := srv.Horizon(); h < horizon {
+			t.Fatalf("step %d: window rewound from %d to %d", i, horizon, h)
+		} else {
+			horizon = h
+		}
 	}
 }

@@ -34,3 +34,22 @@ func TestServerClampsOtherParams(t *testing.T) {
 		t.Errorf("Reserve(5,2) = %d, want 5", got)
 	}
 }
+
+// TestZeroAllocSteadyState: the calendar is a fixed ring, so reserving —
+// in order, out of order, spilling and sliding the window — allocates
+// nothing.
+func TestZeroAllocSteadyState(t *testing.T) {
+	srv := NewServer(1, 4, 64)
+	var at Time
+	churn := func() {
+		for i := 0; i < 256; i++ {
+			at += Time(i % 7)
+			srv.Reserve(at, 1+i%5)
+			srv.Reserve(at-MinTime(at, 300), 1) // behind the window
+		}
+		srv.Reserve(at+10_000, 1) // slide far ahead
+	}
+	if avg := testing.AllocsPerRun(50, churn); avg != 0 {
+		t.Errorf("steady-state Reserve allocated %.1f times per churn, want 0", avg)
+	}
+}

@@ -35,44 +35,62 @@ func fig4TraceAndReport(t *testing.T, jobs int, fspec string) ([]byte, []byte) {
 }
 
 // The record→replay differential gate, as a table across worker count
-// (j1/j8) and machine health (clean/faulted). For every combination the
+// (j1/j8), machine health (clean/faulted) and the kernel shard count
+// (1/4) that a recording made under the former sharded event kernel
+// carries in its JSONL scenario headers. For every combination the
 // recorded trace and the rendered figure must be byte-identical to the
 // j=1 run (recording is slot-ordered and observation-only), and
 // replaying every recorded scenario with zero options must reproduce
 // the recorded placements byte-for-byte.
 func TestRecordReplayGate(t *testing.T) {
-	for _, fspec := range []string{"", "dead-banks=2"} {
-		t.Run("faults="+fspec, func(t *testing.T) {
-			tr1, rep1 := fig4TraceAndReport(t, 1, fspec)
-			tr8, rep8 := fig4TraceAndReport(t, 8, fspec)
-			if !bytes.Equal(tr1, tr8) {
-				t.Error("recorded trace differs between -j1 and -j8")
-			}
-			if !bytes.Equal(rep1, rep8) {
-				t.Error("figure differs between -j1 and -j8")
-			}
-			if len(tr1) == 0 {
-				t.Fatal("empty recorded trace")
-			}
-			decoded, err := trace.ParseJSONL(tr1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(decoded.Scenarios) == 0 {
-				t.Fatal("no scenarios recorded")
-			}
-			for _, sc := range decoded.Scenarios {
-				res, err := trace.Replay(sc, trace.Options{})
+	recorded := map[string][]byte{} // fspec → j1 trace, j1/j8-checked
+	record := func(t *testing.T, fspec string) []byte {
+		if tr, ok := recorded[fspec]; ok {
+			return tr
+		}
+		tr1, rep1 := fig4TraceAndReport(t, 1, fspec)
+		tr8, rep8 := fig4TraceAndReport(t, 8, fspec)
+		if !bytes.Equal(tr1, tr8) {
+			t.Error("recorded trace differs between -j1 and -j8")
+		}
+		if !bytes.Equal(rep1, rep8) {
+			t.Error("figure differs between -j1 and -j8")
+		}
+		if len(tr1) == 0 {
+			t.Fatal("empty recorded trace")
+		}
+		recorded[fspec] = tr1
+		return tr1
+	}
+	for _, shards := range []int{1, 4} {
+		for _, fspec := range []string{"", "dead-banks=2"} {
+			t.Run(fmt.Sprintf("shards=%d/faults=%s", shards, fspec), func(t *testing.T) {
+				tr := record(t, fspec)
+				legacy := bytes.ReplaceAll(tr, []byte(`{"scenario":{`),
+					[]byte(fmt.Sprintf(`{"scenario":{"shards":%d,`, shards)))
+				if bytes.Equal(legacy, tr) {
+					t.Fatal("no JSONL scenario header found")
+				}
+				decoded, err := trace.ParseJSONL(legacy)
 				if err != nil {
-					t.Fatalf("replay %s: %v", sc.Label, err)
+					t.Fatal(err)
 				}
-				got, want := res.PlacementDump(), trace.RecordedDump(sc)
-				if !bytes.Equal(got, want) {
-					t.Errorf("%s: replay diverged from recording:\n--- replay\n%s--- recorded\n%s",
-						sc.Label, got, want)
+				if len(decoded.Scenarios) == 0 {
+					t.Fatal("no scenarios recorded")
 				}
-			}
-		})
+				for _, sc := range decoded.Scenarios {
+					res, err := trace.Replay(sc, trace.Options{})
+					if err != nil {
+						t.Fatalf("replay %s: %v", sc.Label, err)
+					}
+					got, want := res.PlacementDump(), trace.RecordedDump(sc)
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s: replay diverged from recording:\n--- replay\n%s--- recorded\n%s",
+							sc.Label, got, want)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -11,15 +11,12 @@ import (
 	"affinityalloc/internal/trace"
 )
 
-// TestLegacyShardCountStillReplays pins afftrace/v1 compatibility with
-// recordings made while the simulator still had a sharded event kernel:
-// their scenario header carries a non-zero kernel shard count — in the
-// binary frame's reserved uvarint slot, and as a "shards" key in JSONL.
-// Both must decode, and the scenario must replay to its recorded
-// placements (affsim -replay's MATCH).
-func TestLegacyShardCountStillReplays(t *testing.T) {
-	sc := recordTiny(t, tinyVecAdd(), sys.AffAlloc, 1)
-	want := trace.RecordedDump(sc)
+// legacyBinary encodes a single-tenant scenario as afftrace/v1 binary
+// the way a recording made while the simulator still had a sharded event
+// kernel looks: the scenario frame's reserved uvarint slot carries the
+// kernel shard count instead of the 0 the encoder writes today.
+func legacyBinary(t *testing.T, sc *trace.Scenario, shards uint64) []byte {
+	t.Helper()
 	enc := trace.Encode(&trace.Trace{Scenarios: []*trace.Scenario{sc}})
 	const magic = "AFFTRC1\n"
 
@@ -49,34 +46,58 @@ func TestLegacyShardCountStillReplays(t *testing.T) {
 	}
 	events := body[sz+int(n)+4:]
 
-	legacy := header(4) // a recording made under -shards 4
+	legacy := header(shards)
 	bin := append([]byte(magic), binary.AppendUvarint(nil, uint64(len(legacy)))...)
 	bin = append(bin, legacy...)
 	bin = binary.LittleEndian.AppendUint32(bin, crc32.Checksum(legacy, crc32.MakeTable(crc32.Castagnoli)))
-	bin = append(bin, events...)
+	return append(bin, events...)
+}
 
+// legacyJSONL encodes a scenario as afftrace/v1 JSONL with the "shards"
+// key a recording made under a sharded event kernel carries.
+func legacyJSONL(t *testing.T, sc *trace.Scenario, shards string) []byte {
+	t.Helper()
 	jsonl := strings.Replace(string(trace.EncodeJSONL(&trace.Trace{Scenarios: []*trace.Scenario{sc}})),
-		`{"scenario":{`, `{"scenario":{"shards":4,`, 1)
-	if !strings.Contains(jsonl, `"shards":4`) {
+		`{"scenario":{`, `{"scenario":{"shards":`+shards+`,`, 1)
+	if !strings.Contains(jsonl, `"shards":`+shards) {
 		t.Fatal("JSONL scenario header not found")
 	}
+	return []byte(jsonl)
+}
 
+// decodeOne decodes a trace that must hold exactly the one scenario sc
+// was encoded from.
+func decodeOne(t *testing.T, data []byte, sc *trace.Scenario) *trace.Scenario {
+	t.Helper()
+	tr, err := trace.DecodeAny(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Scenarios) != 1 || len(tr.Scenarios[0].Events) != len(sc.Events) {
+		t.Fatalf("decoded %d scenarios", len(tr.Scenarios))
+	}
+	return tr.Scenarios[0]
+}
+
+// TestLegacyShardCountStillReplays pins afftrace/v1 compatibility with
+// recordings made while the simulator still had a sharded event kernel:
+// their scenario header carries a non-zero kernel shard count — in the
+// binary frame's reserved uvarint slot, and as a "shards" key in JSONL.
+// Both must decode, and the scenario must replay to its recorded
+// placements (affsim -replay's MATCH).
+func TestLegacyShardCountStillReplays(t *testing.T) {
+	sc := recordTiny(t, tinyVecAdd(), sys.AffAlloc, 1)
+	want := trace.RecordedDump(sc)
 	for _, c := range []struct {
 		name string
 		data []byte
-	}{{"binary", bin}, {"jsonl", []byte(jsonl)}} {
-		tr, err := trace.DecodeAny(c.data)
+	}{{"binary", legacyBinary(t, sc, 4)}, {"jsonl", legacyJSONL(t, sc, "4")}} {
+		got := decodeOne(t, c.data, sc)
+		res, err := trace.Replay(got, trace.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if len(tr.Scenarios) != 1 || len(tr.Scenarios[0].Events) != len(sc.Events) {
-			t.Fatalf("%s: decoded %d scenarios", c.name, len(tr.Scenarios))
-		}
-		res, err := trace.Replay(tr.Scenarios[0], trace.Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if !bytes.Equal(res.PlacementDump(), want) || !bytes.Equal(trace.RecordedDump(tr.Scenarios[0]), want) {
+		if !bytes.Equal(res.PlacementDump(), want) || !bytes.Equal(trace.RecordedDump(got), want) {
 			t.Errorf("%s: legacy recording does not replay to MATCH", c.name)
 		}
 	}

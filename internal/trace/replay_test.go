@@ -33,7 +33,9 @@ func recordUnder(t *testing.T, w workloads.Workload, mode sys.Mode, seed int64, 
 // Record→replay placement identity: replaying a recorded scenario with
 // zero options must re-drive the allocator through the identical state
 // trajectory, yielding byte-identical placements — across workload
-// shapes (affine, irregular, pointer) and fault specs.
+// shapes (affine, irregular, pointer), fault specs, and the kernel shard
+// count (1 or 4) that a recording made under the former sharded event
+// kernel carries in its header's reserved slot.
 func TestReplayPlacementIdentity(t *testing.T) {
 	workloadSet := []workloads.Workload{
 		tinyVecAdd(),
@@ -44,13 +46,17 @@ func TestReplayPlacementIdentity(t *testing.T) {
 		for _, spec := range []string{"", "dead-banks=2"} {
 			t.Run(fmt.Sprintf("%s/faults=%s", w.Name(), spec), func(t *testing.T) {
 				sc := recordUnder(t, w, sys.AffAlloc, 1, spec)
-				res, err := trace.Replay(sc, trace.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, want := res.PlacementDump(), trace.RecordedDump(sc)
-				if !bytes.Equal(got, want) {
-					t.Errorf("placements diverged:\n--- replay\n%s--- recorded\n%s", got, want)
+				want := trace.RecordedDump(sc)
+				for _, shards := range []uint64{1, 4} {
+					t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+						res, err := trace.Replay(decodeOne(t, legacyBinary(t, sc, shards), sc), trace.Options{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := res.PlacementDump(); !bytes.Equal(got, want) {
+							t.Errorf("placements diverged:\n--- replay\n%s--- recorded\n%s", got, want)
+						}
+					})
 				}
 			})
 		}
@@ -108,6 +114,29 @@ func TestReplayOverridesAreDeterministic(t *testing.T) {
 		}
 		if a.Cycles != b.Cycles {
 			t.Errorf("%+v: cycles differ: %d vs %d", opt, a.Cycles, b.Cycles)
+		}
+	}
+}
+
+// The reserved shard-count slot must stay inert on the replay path:
+// whatever count a legacy header carries, placements and cycle counts
+// are byte-identical to replaying the scenario as recorded.
+func TestReplayShardInvariance(t *testing.T) {
+	sc := recordUnder(t, tinyVecAdd(), sys.AffAlloc, 1, "")
+	base, err := trace.Replay(sc, trace.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []uint64{1, 2, 4} {
+		r, err := trace.Replay(decodeOne(t, legacyBinary(t, sc, shards), sc), trace.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r.PlacementDump(), base.PlacementDump()) {
+			t.Errorf("shards=%d: placements diverged from the recording", shards)
+		}
+		if r.Cycles != base.Cycles {
+			t.Errorf("shards=%d: cycles %d != %d", shards, r.Cycles, base.Cycles)
 		}
 	}
 }
